@@ -7,6 +7,10 @@ success probability ``n * lambda >= gamma1/(7 gamma2) = Omega(1)``, so
 against walk length and the exactness margin -- smaller slack means
 fewer retries, but pushing it to ~1 breaks Theorem 6's supplementation
 slack and uniformity with it.
+
+Trials are counted on Figure 1 as published (``faithful_walk=True``).
+The doomed-walk cutoff leaves them unchanged (it samples the same
+peers); E6a's last column shows the messages per sample it saves.
 """
 
 from __future__ import annotations
@@ -22,15 +26,24 @@ SLACKS = [2.0, 4.0, 7.0, 14.0]
 SAMPLES = 150
 
 
+def _run(n: int, faithful_walk: bool):
+    dht = IdealDHT.random(n, random.Random(n))
+    sampler = RandomPeerSampler(
+        dht, n_hat=float(n), rng=random.Random(n + 5), faithful_walk=faithful_walk
+    )
+    return sampler, [sampler.sample_with_stats() for _ in range(SAMPLES)]
+
+
 def trial_rows():
     rows = []
     for n in SIZES:
-        dht = IdealDHT.random(n, random.Random(n))
-        sampler = RandomPeerSampler(dht, n_hat=float(n), rng=random.Random(n + 5))
-        trials = [sampler.sample_with_stats().trials for _ in range(SAMPLES)]
+        sampler, stats = _run(n, faithful_walk=True)
+        trials = [s.trials for s in stats]
         success = n * sampler.params.lam
+        msgs = statistics.mean(s.cost.messages for s in stats)
+        cut = statistics.mean(s.cost.messages for s in _run(n, faithful_walk=False)[1])
         rows.append(
-            (n, success, 1.0 / success, statistics.mean(trials), max(trials))
+            (n, success, 1.0 / success, statistics.mean(trials), max(trials), msgs, cut)
         )
     return rows
 
@@ -41,7 +54,7 @@ def slack_rows():
     rows = []
     for slack in SLACKS:
         sampler = RandomPeerSampler(
-            dht, n_hat=float(n), lambda_slack=slack, rng=random.Random(43)
+            dht, n_hat=float(n), lambda_slack=slack, rng=random.Random(43), faithful_walk=True
         )
         report = compute_assignment(
             dht.circle, sampler.params.lam, sampler.params.walk_budget
@@ -63,20 +76,30 @@ def test_e6_trials_geometric(benchmark, show):
     rows = trial_rows()
     table = Table(
         "E6a: rejection trials are O(1), independent of n",
-        ["n", "success prob n*lam", "1/(n*lam)", "mean trials", "max trials"],
+        [
+            "n",
+            "success prob n*lam",
+            "1/(n*lam)",
+            "mean trials",
+            "max trials",
+            "msgs/sample",
+            "msgs/sample with cutoff",
+        ],
     )
     for row in rows:
         table.add_row(*row)
     table.note("paper (Thm 7): E[trials] <= 1/(n lambda) = O(1)")
+    table.note("with cutoff: same seeds, doomed walks stopped early (same peers)")
     show(table)
-    for n, success, bound, mean_trials, _ in rows:
+    for n, success, bound, mean_trials, _, msgs, cut in rows:
         assert mean_trials <= 1.5 * bound
+        assert cut < msgs
     # Flat across n: largest and smallest mean within 2x.
     means = [r[3] for r in rows]
     assert max(means) / min(means) < 2.0
 
     dht = IdealDHT.random(1024, random.Random(6))
-    sampler = RandomPeerSampler(dht, n_hat=1024.0, rng=random.Random(7))
+    sampler = RandomPeerSampler(dht, n_hat=1024.0, rng=random.Random(7), faithful_walk=True)
     benchmark(lambda: sampler.sample_with_stats().trials)
 
 
@@ -98,5 +121,5 @@ def test_e6_lambda_slack_ablation(benchmark, show):
     n = 2048
     dht = IdealDHT.random(n, random.Random(44))
     sampler = RandomPeerSampler(dht, n_hat=float(n), lambda_slack=2.0,
-                                rng=random.Random(45))
+                                rng=random.Random(45), faithful_walk=True)
     benchmark(sampler.sample)

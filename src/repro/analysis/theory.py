@@ -81,6 +81,8 @@ def expected_messages_per_sample(
     the expected walk length; failed trials walk the full budget, while a
     successful trial's walk is bounded by the budget too, so using the
     budget for every trial gives a sound first-order upper estimate.
+    This is Figure 1's cost as published (``faithful_walk=True``); the
+    default doomed-walk cutoff only lowers it.
     """
     if m_h is None:
         m_h = math.log2(max(2, n))

@@ -103,7 +103,8 @@ class BatchSampler:
     Construction mirrors :class:`~repro.core.sampler.RandomPeerSampler`;
     alternatively pass a resolved ``params`` to share a scalar sampler's
     parameters (this is what :meth:`RandomPeerSampler.sample_many` does
-    when delegating).
+    when delegating).  A passed ``params`` carries its own walk mode; a
+    ``faithful_walk`` that contradicts it is rejected.
     """
 
     def __init__(
@@ -118,6 +119,7 @@ class BatchSampler:
         rng: random.Random | None = None,
         max_trials: int = 10_000,
         tracer=None,
+        faithful_walk: bool | None = None,
     ):
         self._dht = dht
         self._rng = rng if rng is not None else random.Random()
@@ -133,7 +135,12 @@ class BatchSampler:
             if n_hat is None:
                 n_hat = estimate_n(dht, c1=c1).n_hat
             params = SamplerParams.from_estimate(
-                n_hat, gamma1=gamma1, lambda_slack=lambda_slack
+                n_hat, gamma1=gamma1, lambda_slack=lambda_slack, faithful_walk=bool(faithful_walk)
+            )
+        elif faithful_walk is not None and faithful_walk != params.faithful_walk:
+            raise ValueError(
+                f"faithful_walk={faithful_walk!r} contradicts params.faithful_walk="
+                f"{params.faithful_walk!r}"
             )
         self.params = params
         if max_trials < 1:
@@ -146,6 +153,9 @@ class BatchSampler:
         #: with fresh randomness by the rejection loop -- so churn shows
         #: up as extra trials, never as a leaked substrate exception.
         self.stale_trials = 0
+        #: Trials the doomed-walk cutoff ended before the walk budget
+        #: (always 0 with ``params.faithful_walk``).
+        self.cut_walks = 0
 
     @property
     def dht(self) -> DHT:
@@ -171,7 +181,10 @@ class BatchSampler:
         if n_hat is None:
             n_hat = estimate_n(self._dht, c1=self._c1).n_hat
         self.params = SamplerParams.from_estimate(
-            n_hat, gamma1=self._gamma1, lambda_slack=self._lambda_slack
+            n_hat,
+            gamma1=self._gamma1,
+            lambda_slack=self._lambda_slack,
+            faithful_walk=self.params.faithful_walk,
         )
         return self.params
 
@@ -186,13 +199,10 @@ class BatchSampler:
         meter once for the whole batch.
         """
         pts = self._dht.points_array()
-        n = len(pts)
-        lam = self.params.lam
-        budget = self.params.walk_budget
-        if _np is not None and len(points) >= NUMPY_MIN_BATCH:
-            codes, out_idx, hops, total_hops = _kernel_numpy(pts, n, lam, budget, points)
-        else:
-            codes, out_idx, hops, total_hops = _kernel_python(pts, n, lam, budget, points)
+        use_numpy = _np is not None and len(points) >= NUMPY_MIN_BATCH
+        kernel = _kernel_numpy if use_numpy else _kernel_python
+        codes, out_idx, hops, total_hops, cut = kernel(pts, len(pts), self.params, points)
+        self.cut_walks += cut
         hm, hl, nm, nl = self._dht.bulk_op_costs()
         k = len(points)
         self._dht.cost.charge_bulk(
@@ -253,8 +263,7 @@ class BatchSampler:
         batch.
         """
         dht = self._dht
-        lam = self.params.lam
-        budget = self.params.walk_budget
+        params = self.params
         resolve_many = getattr(dht, "resolve_many", None)
         firsts: list[PeerRef | None]
         if resolve_many is not None and len(points) > 1:
@@ -275,12 +284,14 @@ class BatchSampler:
                 )
                 continue
             try:
-                results.append(_trial_from_first(dht, lam, budget, s, first))
+                result = _trial_from_first(dht, params, s, first)
             except PeerUnreachableError:
                 self.stale_trials += 1
-                results.append(
-                    TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
-                )
+                result = TrialResult(s=s, outcome=TrialOutcome.EXHAUSTED, peer=None, walk_hops=0)
+            else:
+                if result.peer is None and result.walk_hops < params.walk_budget:
+                    self.cut_walks += 1
+            results.append(result)
         return results
 
     def _round_successes(self, points: list[float]) -> list[PeerRef]:
@@ -343,7 +354,9 @@ class BatchSampler:
             points = [1.0 - rand() for _ in range(round_size)]
             used += round_size
             rounds += 1
-            round_before = self._dht.cost.snapshot() if tracing else None
+            if tracing:
+                round_before = self._dht.cost.snapshot()
+                cut_before = self.cut_walks
             successes = self._round_successes(points)
             if tracing:
                 tracer.on_round(
@@ -351,6 +364,7 @@ class BatchSampler:
                     round_size,
                     len(successes),
                     self._dht.cost.snapshot() - round_before,
+                    cut=self.cut_walks - cut_before,
                 )
             p_est = min(max((len(successes) + 1) / (round_size + 2), 1e-4), 1.0)
             out.extend(successes[:need])
@@ -393,13 +407,32 @@ class BatchSampler:
 # -- classification kernels (module-level: no self lookups in hot loops) --
 
 
-def _kernel_numpy(pts, n, lam, budget, points):
+def _lap_hops(t: float, lam: float, cutoffs: tuple[float, ...]) -> int:
+    """Walk length of a non-small trial on a one-peer ring.
+
+    Every hop is a self-successor lap adding ``1 - lam > 0`` to T (the
+    scalar path's ``step = 1.0``), so T never drops: the trial exhausts,
+    after the full budget or when the cutoff fires.
+    """
+    hops = 0
+    while hops < len(cutoffs) and t <= cutoffs[hops]:
+        t += 1.0 - lam
+        hops += 1
+    return hops
+
+
+def _kernel_numpy(pts, n, params, points):
     """Lockstep-vectorized Figure 1 over all trials at once.
 
     Every elementwise expression mirrors the scalar path's float
     arithmetic (same operand order, same wrap clamp), so outcomes are
-    bit-identical to :meth:`RandomPeerSampler.trial`.
+    bit-identical to :meth:`RandomPeerSampler.trial`.  Trials leave the
+    lockstep arrays as they hit or are cut, so a hop costs in proportion
+    to the walks still running.
     """
+    lam = params.lam
+    budget = params.walk_budget
+    cutoffs = params.cutoffs
     ss = _np.asarray(points, dtype=_np.float64)
     ok = (ss > 0.0) & (ss <= 1.0)  # negated form would let NaN slip through
     if not ok.all():
@@ -415,17 +448,20 @@ def _kernel_numpy(pts, n, lam, budget, points):
     codes = _np.where(small, _SMALL, _EXHAUSTED).astype(_np.int8)
     out_idx = _np.where(small, idx, -1)
     hops = _np.zeros(ss.shape, dtype=_np.int64)
-    active = ~small
+    live = _np.flatnonzero(~small)  # trial positions still walking
+    t = arc[live] - lam
     if n == 1:
-        # A self-successor lap adds 1 - lam > 0 per hop, so T never
-        # drops: every non-small trial exhausts the full budget.
-        hops[active] = budget
-        return codes, out_idx, hops, int(active.sum()) * budget
-    t = arc - lam
-    cur_idx = idx
-    cur_pt = first
+        taken = [_lap_hops(x, lam, cutoffs) for x in t.tolist()]
+        hops[live] = taken
+        return codes, out_idx, hops, int(hops.sum()), sum(h < budget for h in taken)
+    cur_idx = idx[live]
+    cur_pt = first[live]
+    keep = t <= cutoffs[0]
+    cut = live.size - int(_np.count_nonzero(keep))  # doomed before any hop
     for hop in range(1, budget + 1):
-        if not active.any():
+        if not keep.all():
+            live, t, cur_idx, cur_pt = live[keep], t[keep], cur_idx[keep], cur_pt[keep]
+        if live.size == 0:
             break
         nxt_idx = cur_idx + 1
         nxt_idx[nxt_idx == n] = 0
@@ -433,25 +469,36 @@ def _kernel_numpy(pts, n, lam, budget, points):
         step = _np.where(nxt_pt >= cur_pt, nxt_pt - cur_pt, (1.0 - cur_pt) + nxt_pt)
         _np.minimum(step, _ONE_BELOW, out=step)
         t += step - lam
-        hit = active & (t <= 0.0)
+        cur_idx, cur_pt = nxt_idx, nxt_pt
+        hit = t <= 0.0
         if hit.any():
-            out_idx[hit] = nxt_idx[hit]
-            hops[hit] = hop
-            codes[hit] = _WALK
-            active &= ~hit
-        cur_idx = nxt_idx
-        cur_pt = nxt_pt
-    hops[active] = budget  # leftovers exhausted their walk budget
-    return codes, out_idx, hops, int(hops.sum())
+            done = live[hit]
+            out_idx[done] = cur_idx[hit]
+            hops[done] = hop
+            codes[done] = _WALK
+        keep = ~hit
+        if hop < budget:
+            doomed = t > cutoffs[hop]
+            if doomed.any():
+                hops[live[doomed]] = hop
+                cut += int(_np.count_nonzero(doomed))
+                keep &= ~doomed
+    else:
+        hops[live[keep]] = budget  # leftovers exhausted their walk budget
+    return codes, out_idx, hops, int(hops.sum()), cut
 
 
-def _kernel_python(pts, n, lam, budget, points):
+def _kernel_python(pts, n, params, points):
     """Pure-Python fast path: raw floats and indices, zero allocations
     per hop.  Identical arithmetic to the scalar trial."""
+    lam = params.lam
+    budget = params.walk_budget
+    cutoffs = params.cutoffs
     codes: list[int] = []
     out_idx: list[int] = []
     hops_list: list[int] = []
     total_hops = 0
+    cut = 0
     for s in points:
         if not 0.0 < s <= 1.0:
             raise ValueError(f"point {s!r} is outside the unit circle (0, 1]")
@@ -472,9 +519,9 @@ def _kernel_python(pts, n, lam, budget, points):
         assigned = -1
         taken = 0
         if n == 1:
-            taken = budget
+            taken = _lap_hops(t, lam, cutoffs)
         else:
-            for hop in range(1, budget + 1):
+            while taken < budget and t <= cutoffs[taken]:
                 ni = i + 1
                 if ni == n:
                     ni = 0
@@ -483,15 +530,17 @@ def _kernel_python(pts, n, lam, budget, points):
                 if step >= 1.0:
                     step = _ONE_BELOW
                 t += step - lam
-                taken = hop
+                taken += 1
                 if t <= 0.0:
                     code = _WALK
                     assigned = ni
                     break
                 i = ni
                 cur = npt
+        if code == _EXHAUSTED and taken < budget:
+            cut += 1
         codes.append(code)
         out_idx.append(assigned)
         hops_list.append(taken)
         total_hops += taken
-    return codes, out_idx, hops_list, total_hops
+    return codes, out_idx, hops_list, total_hops, cut

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..dht.api import DHT, CostSnapshot, PeerRef, PeerUnreachableError
 from .errors import SamplingError
@@ -76,20 +76,28 @@ class TrialResult:
     walk_hops: int
 
 
-def _trial_from_first(dht: DHT, lam: float, walk_budget: int, s: float, first: PeerRef) -> TrialResult:
+def _trial_from_first(dht: DHT, params: SamplerParams, s: float, first: PeerRef) -> TrialResult:
     """Figure 1 for point ``s`` given an already-resolved ``first = h(s)``.
 
     Shared by the scalar :meth:`RandomPeerSampler.trial` and the batch
     engine's per-call fallback path, so both run byte-identical float
     arithmetic and cannot drift apart.
+
+    Unless ``params.faithful_walk`` is set, the walk stops as soon as T
+    exceeds what the remaining hops could possibly subtract (at most
+    ``lam`` each, see :data:`_CUTOFF_MARGIN`): such a trial can only end
+    EXHAUSTED, so it ends now and is charged only the hops it took.
     """
+    lam = params.lam
+    walk_budget = params.walk_budget
+    cutoffs = params.cutoffs
     arc = clockwise_distance(s, first.point)
     if arc < lam:  # line 2: the interval I(s, l(h(s))] is SMALL
         return TrialResult(s=s, outcome=TrialOutcome.SMALL_HIT, peer=first, walk_hops=0)
 
     t_value = arc - lam
     hops = 0
-    for _ in range(walk_budget):
+    while hops < walk_budget and t_value <= cutoffs[hops]:
         nxt = dht.next(first)
         hops += 1
         step = clockwise_distance(first.point, nxt.point)
@@ -113,18 +121,47 @@ class SampleStats:
     cost: CostSnapshot
 
 
+#: Relative margin of the doomed-walk cutoff, which ends a walk once
+#: ``T > r * lam * (1 + eps)`` with ``r`` hops left.  It is exact: each
+#: hop adds ``fl(step - lam)`` to T, and ``step >= 0`` with monotone
+#: rounding gives ``fl(step - lam) >= -lam``, so after ``r`` more hops T
+#: is at least ``g^r(T)`` with ``g(x) = fl(x - lam)``, which is at least
+#: ``(1 - u)^r * T - r * lam`` for unit roundoff ``u = 2**-53``.  The
+#: threshold itself carries two roundings, so T stays positive whenever
+#: ``(1 + eps) * (1 - u)^(r + 2) >= 1``: for every ``r`` up to ``2**20``.
+#: The largest budget ``ceil(6 ln n')`` a finite double ``n'`` yields is
+#: 4259.
+_CUTOFF_MARGIN = 1.0 + 2.0**-32
+
+
 @dataclass(frozen=True, slots=True)
 class SamplerParams:
     """Resolved parameters of the sampler, derived from ``n_hat``.
 
     ``lam`` is the per-peer measure; ``walk_budget`` the ``ceil(6 ln n')``
-    hop cap of Figure 1.
+    hop cap of Figure 1.  ``faithful_walk`` walks every doomed trial to
+    the full budget, as Figure 1 is published, instead of ending it
+    early; sampled peers are the same either way, only the ``next`` hops
+    charged for EXHAUSTED trials differ.
     """
 
     n_hat: float
     n_prime: float
     lam: float
     walk_budget: int
+    faithful_walk: bool = False
+    #: ``cutoffs[h]``: the doomed-walk threshold after ``h`` hops -- a
+    #: larger T cannot reach 0 in the hops left (all infinite for the
+    #: faithful walk).  The one definition every walk path reads.
+    cutoffs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        budget, lam = self.walk_budget, self.lam
+        if self.faithful_walk:
+            cutoffs = (math.inf,) * budget
+        else:
+            cutoffs = tuple((budget - h) * lam * _CUTOFF_MARGIN for h in range(budget))
+        object.__setattr__(self, "cutoffs", cutoffs)
 
     @classmethod
     def from_estimate(
@@ -132,6 +169,7 @@ class SamplerParams:
         n_hat: float,
         gamma1: float = GAMMA1,
         lambda_slack: float = LAMBDA_SLACK,
+        faithful_walk: bool = False,
     ) -> "SamplerParams":
         if n_hat < 1.0:
             raise ValueError(f"n_hat must be >= 1, got {n_hat!r}")
@@ -142,7 +180,13 @@ class SamplerParams:
         n_prime = n_hat / gamma1
         lam = 1.0 / (lambda_slack * n_prime)
         walk_budget = max(1, math.ceil(6.0 * math.log(max(n_prime, math.e))))
-        return cls(n_hat=n_hat, n_prime=n_prime, lam=lam, walk_budget=walk_budget)
+        return cls(
+            n_hat=n_hat,
+            n_prime=n_prime,
+            lam=lam,
+            walk_budget=walk_budget,
+            faithful_walk=faithful_walk,
+        )
 
 
 class RandomPeerSampler:
@@ -165,6 +209,9 @@ class RandomPeerSampler:
         :class:`~repro.core.errors.SamplingError` is raised.  The success
         probability per trial is at least ``n * lam >= gamma1 / (7 gamma2)``
         w.h.p., so the default of 10_000 is astronomically safe.
+    faithful_walk:
+        Walk doomed trials to the full budget (see :class:`SamplerParams`);
+        kept across :meth:`refresh`.
     """
 
     def __init__(
@@ -177,6 +224,7 @@ class RandomPeerSampler:
         c1: float = DEFAULT_C1,
         rng: random.Random | None = None,
         max_trials: int = 10_000,
+        faithful_walk: bool = False,
     ):
         self._dht = dht
         self._rng = rng if rng is not None else random.Random()
@@ -186,7 +234,7 @@ class RandomPeerSampler:
         if n_hat is None:
             n_hat = estimate_n(dht, c1=c1).n_hat
         self.params = SamplerParams.from_estimate(
-            n_hat, gamma1=gamma1, lambda_slack=lambda_slack
+            n_hat, gamma1=gamma1, lambda_slack=lambda_slack, faithful_walk=faithful_walk
         )
         if max_trials < 1:
             raise ValueError("max_trials must be at least 1")
@@ -212,7 +260,10 @@ class RandomPeerSampler:
         if n_hat is None:
             n_hat = estimate_n(self._dht, c1=self._c1).n_hat
         self.params = SamplerParams.from_estimate(
-            n_hat, gamma1=self._gamma1, lambda_slack=self._lambda_slack
+            n_hat,
+            gamma1=self._gamma1,
+            lambda_slack=self._lambda_slack,
+            faithful_walk=self.params.faithful_walk,
         )
         self._engine = None
         return self.params
@@ -225,9 +276,7 @@ class RandomPeerSampler:
         Exposed separately so tests and the exact-assignment analysis can
         drive the deterministic part of the algorithm directly.
         """
-        return _trial_from_first(
-            self._dht, self.params.lam, self.params.walk_budget, s, self._dht.h(s)
-        )
+        return _trial_from_first(self._dht, self.params, s, self._dht.h(s))
 
     # -- public sampling API ----------------------------------------------
 

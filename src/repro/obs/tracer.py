@@ -80,7 +80,7 @@ class NullTracer:
         return None
 
     # -- in-dispatch hooks (engine / transport sink surface) --
-    def on_round(self, index, trials, successes, cost=None) -> None:
+    def on_round(self, index, trials, successes, cost=None, cut=None) -> None:
         return None
 
     def on_rpc(self, source, target, method, kind, start, end, outcome) -> None:
@@ -483,8 +483,14 @@ class Tracer:
         """True exactly while a sampled batch is dispatching."""
         return self._ctx is not None
 
-    def on_round(self, index: int, trials: int, successes: int, cost=None) -> None:
-        """One engine rejection round (round 0 is the initial classify)."""
+    def on_round(
+        self, index: int, trials: int, successes: int, cost=None, cut: int | None = None
+    ) -> None:
+        """One engine rejection round (round 0 is the initial classify).
+
+        ``cut`` counts the round's trials the doomed-walk cutoff ended
+        before the walk budget.
+        """
         ctx = self._ctx
         if ctx is None:
             return
@@ -493,6 +499,8 @@ class Tracer:
         if cost is not None:
             attrs["messages"] = cost.messages
             attrs["latency"] = cost.latency
+        if cut is not None:
+            attrs["cut"] = cut
         start = ctx.started
         self._span(
             trace,

@@ -277,6 +277,7 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
         retry_backoff=spec.retry_backoff,
         retry_policy=retry_policy,
         tracer=tracer,
+        faithful_walk=spec.faithful_walk,
     )
 
     maintenance = []

@@ -95,6 +95,10 @@ class ScenarioSpec:
     # worker behaviour bit for bit, so presets are unchanged.
     retry_factor: float = 1.0
     retry_jitter: float = 0.0
+    # Walk doomed trials to the full budget, as Figure 1 is published
+    # (see repro.core.sampler.SamplerParams); runs pinned to the full
+    # walk's message, latency and sim-time figures set it.
+    faithful_walk: bool = False
     # -- run control --
     seed: int = 0
     max_sim_time: float = 50_000.0  # hard stop against pathological stalls

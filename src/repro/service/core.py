@@ -73,6 +73,7 @@ class SamplingService:
         reservoir_size: int | None = DEFAULT_RESERVOIR,
         keep_responses: bool = True,
         tracer=None,
+        faithful_walk: bool = False,
     ):
         if dispatch not in DISPATCH_MODES:
             raise ValueError(f"unknown dispatch {dispatch!r}; choose from {DISPATCH_MODES}")
@@ -107,10 +108,14 @@ class SamplingService:
             trial_rng = rngs.stream(f"shard{shard_id}.trials")
             if dispatch == "batch":
                 strategy = BatchDispatch(
-                    BatchSampler(dht, rng=trial_rng, tracer=engine_tracer)
+                    BatchSampler(
+                        dht, rng=trial_rng, tracer=engine_tracer, faithful_walk=faithful_walk
+                    )
                 )
             else:
-                strategy = ScalarDispatch(RandomPeerSampler(dht, rng=trial_rng))
+                strategy = ScalarDispatch(
+                    RandomPeerSampler(dht, rng=trial_rng, faithful_walk=faithful_walk)
+                )
             if engine_tracer is not None:
                 # Live substrates expose their message fabric; the ideal
                 # oracle has none, so per-hop spans simply don't occur.

@@ -8,7 +8,8 @@ identical under ``REPRO_PURE_PYTHON=1`` (the CI matrix runs this file
 in both modes; the numbers below were captured with the accelerator on
 and reproduced with it off).  The two backends must also emit the
 *same adversary-record schema*, so downstream tooling never branches on
-the substrate.
+the substrate.  As there, the pins are of the paper-faithful walk
+(``faithful_walk=True``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ ADVERSARY_PINS = {
 
 
 def _run(backend: str):
-    return run_scenario(preset("byzantine", backend=backend, n=24, requests=80, seed=5))
+    return run_scenario(
+        preset("byzantine", backend=backend, n=24, requests=80, seed=5, faithful_walk=True)
+    )
 
 
 def _pin_fields(result) -> dict:

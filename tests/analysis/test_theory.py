@@ -88,7 +88,9 @@ class TestCostFormulas:
     def test_expected_messages_upper_estimates_simulation(self):
         n = 512
         dht = IdealDHT.random(n, random.Random(5))
-        sampler = RandomPeerSampler(dht, n_hat=float(n), rng=random.Random(6))
+        sampler = RandomPeerSampler(
+            dht, n_hat=float(n), rng=random.Random(6), faithful_walk=True
+        )
         predicted = expected_messages_per_sample(n, sampler.params)
         observed = sum(
             sampler.sample_with_stats().cost.messages for _ in range(300)

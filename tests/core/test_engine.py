@@ -15,42 +15,51 @@ from repro.core.engine import BatchSampler
 from repro.core.errors import SamplingError
 
 
-def _pair(dht, n_hat, seed=0):
+def _pair(dht, n_hat, seed=0, faithful_walk=False):
     """A scalar sampler and a batch engine sharing parameters."""
-    sampler = RandomPeerSampler(dht, n_hat=n_hat, rng=random.Random(seed))
+    sampler = RandomPeerSampler(
+        dht, n_hat=n_hat, rng=random.Random(seed), faithful_walk=faithful_walk
+    )
     eng = BatchSampler(dht, params=sampler.params, rng=random.Random(seed))
     return sampler, eng
+
+
+WALK_MODES = (False, True)  # faithful_walk: the cutoff, then Figure 1 as published
 
 
 class TestScalarEquivalence:
     """The heart of the tentpole: for the same trial points the batch
     engine and the scalar ``trial()`` must produce *identical* outcomes
-    (same peer, same TrialOutcome, same walk length)."""
+    (same peer, same TrialOutcome, same walk length), with and without
+    the doomed-walk cutoff."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 512])
     def test_ideal_numpy_path(self, n):
         rng = random.Random(1000 + n)
         dht = IdealDHT.random(n, rng)
-        sampler, eng = _pair(dht, float(n))
         points = [1.0 - rng.random() for _ in range(400)]
-        assert eng.trial_many(points) == [sampler.trial(s) for s in points]
+        for faithful in WALK_MODES:
+            sampler, eng = _pair(dht, float(n), faithful_walk=faithful)
+            assert eng.trial_many(points) == [sampler.trial(s) for s in points]
 
     @pytest.mark.parametrize("n", [1, 3, 64, 512])
     def test_ideal_pure_python_kernel(self, n, monkeypatch):
         monkeypatch.setattr(engine_mod, "_np", None)
         rng = random.Random(2000 + n)
         dht = IdealDHT.random(n, rng)
-        sampler, eng = _pair(dht, float(n))
         points = [1.0 - rng.random() for _ in range(200)]
-        assert eng.trial_many(points) == [sampler.trial(s) for s in points]
+        for faithful in WALK_MODES:
+            sampler, eng = _pair(dht, float(n), faithful_walk=faithful)
+            assert eng.trial_many(points) == [sampler.trial(s) for s in points]
 
     def test_chord_fallback_path(self):
         net = ChordNetwork.build(32, m=16, rng=random.Random(42))
         dht = net.dht()
-        sampler, eng = _pair(dht, 32.0)
         rng = random.Random(43)
         points = [1.0 - rng.random() for _ in range(120)]
-        assert eng.trial_many(points) == [sampler.trial(s) for s in points]
+        for faithful in WALK_MODES:
+            sampler, eng = _pair(dht, 32.0, faithful_walk=faithful)
+            assert eng.trial_many(points) == [sampler.trial(s) for s in points]
 
     def test_trial_points_validated(self, medium_dht):
         _, eng = _pair(medium_dht, 512.0)
@@ -61,10 +70,11 @@ class TestScalarEquivalence:
                 eng.trial_many([0.5, bad])  # pure-python kernel
 
     def test_small_batches_use_python_kernel_identically(self, medium_dht):
-        sampler, eng = _pair(medium_dht, 512.0)
         rng = random.Random(9)
         points = [1.0 - rng.random() for _ in range(5)]  # below _NUMPY_MIN_BATCH
-        assert eng.trial_many(points) == [sampler.trial(s) for s in points]
+        for faithful in WALK_MODES:
+            sampler, eng = _pair(medium_dht, 512.0, faithful_walk=faithful)
+            assert eng.trial_many(points) == [sampler.trial(s) for s in points]
 
 
 class TestCostParity:

@@ -12,6 +12,11 @@ Two layers of protection:
    consumes no RNG and mirrors (never replaces) the float accumulations
    it observes, so the only output allowed to differ is the trace.
 
+The pins were taken on the paper-faithful walk, so the pinned runs set
+``faithful_walk=True``: the default doomed-walk cutoff charges fewer
+``next`` hops, which shrinks messages, latency and simulated time.  The
+traced == untraced identity is checked under both walks.
+
 ``benchmarks/bench_obs.py`` enforces the same identity in-run against a
 monkeypatched pre-PR "bare" transport, plus the <=2% wall-clock bound.
 """
@@ -81,8 +86,10 @@ def _scenario_fields(result) -> dict:
     }
 
 
-def _run(backend: str, tracer=None):
-    spec = preset("smoke", backend=backend, n=24, requests=80, seed=5)
+def _run(backend: str, tracer=None, faithful_walk=True):
+    spec = preset(
+        "smoke", backend=backend, n=24, requests=80, seed=5, faithful_walk=faithful_walk
+    )
     return run_scenario(spec, tracer=tracer)
 
 
@@ -92,9 +99,11 @@ def _fingerprint(result) -> dict:
     return rec
 
 
-def _service_fields(tracer=None) -> dict:
+def _service_fields(tracer=None, faithful_walk=True) -> dict:
     kwargs = {} if tracer is None else {"tracer": tracer}
-    service = build_service(n=300, shards=2, substrate="ideal", seed=11, **kwargs)
+    service = build_service(
+        n=300, shards=2, substrate="ideal", seed=11, faithful_walk=faithful_walk, **kwargs
+    )
     load = build_load(service, rate=2.0, total=200, seed=11)
     load.start()
     service.run()
@@ -114,9 +123,16 @@ class TestScenarioPins:
         assert _scenario_fields(_run(backend)) == SCENARIO_PINS[backend]
 
     def test_traced_run_is_bit_identical(self, backend):
-        untraced = _run(backend)
+        self._check_traced_identity(backend, faithful_walk=True)
+
+    def test_traced_run_is_bit_identical_with_cutoff(self, backend):
+        self._check_traced_identity(backend, faithful_walk=False)
+
+    @staticmethod
+    def _check_traced_identity(backend, faithful_walk):
+        untraced = _run(backend, faithful_walk=faithful_walk)
         tracer = Tracer("all")
-        traced = _run(backend, tracer=tracer)
+        traced = _run(backend, tracer=tracer, faithful_walk=faithful_walk)
         assert _fingerprint(traced) == _fingerprint(untraced)
         # and the tracer did actually record the run it shadowed
         assert tracer.summary()["requests_traced"] == untraced.completed
@@ -135,3 +151,9 @@ class TestServicePin:
         tracer = Tracer("slowest:16")
         assert _service_fields(tracer=tracer) == SERVICE_PIN
         assert len(tracer.finished) == 16  # reservoir capacity enforced
+
+    def test_traced_run_is_bit_identical_with_cutoff(self):
+        untraced = _service_fields(faithful_walk=False)
+        assert untraced["total_latency_mean"] < SERVICE_PIN["total_latency_mean"]
+        tracer = Tracer("slowest:16")
+        assert _service_fields(tracer=tracer, faithful_walk=False) == untraced
