@@ -29,7 +29,6 @@ structured one (``bench backends`` quantifies the gap).
 from __future__ import annotations
 
 import bisect
-import heapq
 import random
 from array import array
 from collections import Counter
@@ -374,8 +373,7 @@ class KademliaNetwork:
             return True
         alive = set(ids)
         for node_id, node in self.nodes.items():
-            table = set(node.contacts())
-            top = heapq.nsmallest(want, table, key=lambda i: node_id ^ i)
+            top = node.closest_known(node_id, want)
             if not all(c in alive for c in top):
                 return False
             expected = sorted(
@@ -387,7 +385,7 @@ class KademliaNetwork:
             for neighbor in expected:
                 if class_counts[bucket_index(node_id, neighbor)] > self.k:
                     continue  # bucket-capacity tie class
-                if neighbor not in table:
+                if not node.knows(neighbor):
                     return False
         return True
 

@@ -39,7 +39,6 @@ blocks of the ring decomposition).
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -128,11 +127,7 @@ class _Shortlist:
         self.known.update(i for i in ids if i not in self.failed)
 
     def best(self, count: int):
-        return heapq.nsmallest(
-            count,
-            (i for i in self.known if i not in self.failed),
-            key=lambda i: self.target ^ i,
-        )
+        return sorted(self.known - self.failed, key=self.target.__xor__)[:count]
 
 
 class KademliaNode:
@@ -260,10 +255,31 @@ class KademliaNode:
         self._ring_cache = None
 
     def closest_known(self, target_id: int, count: int) -> list[int]:
-        """Up to ``count`` table contacts closest to ``target_id`` in XOR."""
-        return heapq.nsmallest(
-            count, self._contact_set, key=lambda i: target_id ^ i
-        )
+        """Up to ``count`` table contacts closest to ``target_id`` in XOR.
+
+        The buckets are a binary trie, so XOR order from the target is
+        bucket order and only the buckets that supply the answer are
+        sorted.  With ``d = node_id ^ target_id`` and ``j`` its top bit,
+        a contact ``c`` in bucket ``i`` sits at ``c ^ target_id =
+        (c ^ node_id) ^ d``: below ``2**j`` when ``i == j`` (the top
+        bits cancel), in ``[2**j, 2**(j+1))`` when ``i < j``, and in
+        ``[2**i, 2**(i+1))`` when ``i > j``.  Hence bucket ``j`` first,
+        then buckets ``0..j-1`` merged, then ``j+1, j+2, ...`` in turn;
+        the self-lookup (``d == 0``, ``j == -1``) takes ``0, 1, 2, ...``.
+        Distinct ids have distinct distances, so the result is exactly
+        the ``count`` smallest of the whole table, in order.
+        """
+        buckets = self.buckets
+        key = target_id.__xor__
+        j = (self.node_id ^ target_id).bit_length() - 1
+        out = sorted(buckets.get(j, ()), key=key)
+        if len(out) < count:
+            out += sorted([c for i, b in buckets.items() if i < j for c in b], key=key)
+        for i in range(j + 1, self.m):
+            if len(out) >= count:
+                break
+            out += sorted(buckets.get(i, ()), key=key)
+        return out[:count]
 
     def probe_stale(self) -> int:
         """Ping each bucket's least-recently-seen contact, evicting the dead.
