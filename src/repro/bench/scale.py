@@ -26,7 +26,6 @@ configuration: the n=1e5 decade only, no 1e7 build) and writes
 from __future__ import annotations
 
 import argparse
-import bisect
 import random
 import sys
 import time
@@ -97,10 +96,6 @@ def _spot_check(net, backend: str, seed: int, probes: int = 64) -> bool:
     return True
 
 
-def _oracle_owner(ids: list[int], target: int) -> int:
-    return ids[bisect.bisect_left(ids, target) % len(ids)]
-
-
 def measure_decade(backend: str, n: int, lookups: int, seed: int,
                    serve: bool = True) -> list[dict]:
     """Build + (optionally) serve rows for one backend at one decade."""
@@ -129,12 +124,12 @@ def measure_decade(backend: str, n: int, lookups: int, seed: int,
 
     # Oracle correctness on a sampled subset (the full check is O(n)
     # Python at the big decades).
-    from ..dht.idspace import point_to_target_id
+    from ..dht.idspace import clockwise_successor, point_to_target_id
 
     ids = net.sorted_ids()
     check = random.Random(seed + 3).sample(range(lookups), min(128, lookups))
     oracle_ok = all(
-        refs[i].peer_id == _oracle_owner(ids, point_to_target_id(xs[i], net.m))
+        refs[i].peer_id == clockwise_successor(ids, point_to_target_id(xs[i], net.m))
         for i in check
     )
     rows.append({

@@ -5,7 +5,6 @@ message-level cost accounting.
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from ...sim.async_net import AsyncRpcTransport
 from ...sim.kernel import Simulator
 from ...sim.network import LatencyModel, RpcTimeout, RpcTransport
 from ..api import NUMPY_MIN_BATCH, CostMeter, PeerRef
+from ..idspace import clockwise_successor
 from ..vantage import EntryVantageMixin
 from .batch import BatchLookupStats, RingSnapshot, lockstep_resolve
 from .idspace import id_to_point, point_to_target_id
@@ -224,13 +224,8 @@ class ChordNetwork:
             node.predecessor = ids[(i - 1) % n] if n > 1 else None
             for f in range(self.m):
                 target = (node_id + (1 << f)) % size
-                node.fingers[f] = self._oracle_successor(ids, target)
+                node.fingers[f] = clockwise_successor(ids, target)
         self.bump_epoch()
-
-    @staticmethod
-    def _oracle_successor(sorted_ids: list[int], target: int) -> int:
-        i = bisect.bisect_left(sorted_ids, target)
-        return sorted_ids[i % len(sorted_ids)]
 
     # -- membership ----------------------------------------------------------
 

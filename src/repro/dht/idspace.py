@@ -14,8 +14,9 @@ own routing geometry on top (:mod:`repro.dht.chord.idspace`,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
-__all__ = ["id_to_point", "point_to_target_id"]
+__all__ = ["clockwise_successor", "id_to_point", "point_to_target_id"]
 
 
 def id_to_point(node_id: int, m: int) -> float:
@@ -39,3 +40,12 @@ def point_to_target_id(x: float, m: int) -> int:
         raise ValueError(f"point {x!r} outside the unit circle (0, 1]")
     size = 1 << m
     return math.ceil(x * size) % size
+
+
+def clockwise_successor(sorted_ids, target: int) -> int:
+    """The first id at or after ``target`` in ``sorted_ids``, wrapping.
+
+    The oracle owner of ``target`` on a ring whose live members are
+    ``sorted_ids`` (ascending, non-empty).
+    """
+    return sorted_ids[bisect_left(sorted_ids, target) % len(sorted_ids)]

@@ -16,12 +16,17 @@ With ``alpha == 1`` and no failures the probe sequence degenerates to
 exactly the sync loop's -- the property the cross-transport equivalence
 test pins.
 
-:func:`find_successor_async` re-runs the aligned-block certification of
-:meth:`KademliaNode.find_successor` decision-for-decision (same
-truncated-census escalation, same small-network census answer, same
-learned-owner liveness ping with exclude-and-reprobe fallback), as a
-callback state machine over :class:`~repro.sim.async_net.Future`
-completions instead of a blocking loop.
+:func:`find_successor_async` does not restate the aligned-block
+certification: :meth:`KademliaNode.certify_successor` is its one
+definition (truncated-census escalation, the small-network census
+answer, the radius-0 case, the aligned-limit hop, the learned-owner
+ping with exclude-and-reprobe), written as a generator that yields its
+find-node probes and its owner ping.  :meth:`KademliaNode.find_successor`
+drives it inline; the callback driver here runs each probe through
+:class:`_ParallelFindNode` and the ping as an async call.  The probe
+loop itself stays twofold, because alpha-concurrent probing with
+straggler cancellation is a different algorithm from the sync round
+loop, not a rescheduling of it.
 """
 
 from __future__ import annotations
@@ -29,15 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ...sim.async_net import Future
-from .idspace import aligned_limit, xor_distance
-from .node import (
-    KademliaLookupError_,
-    LookupOutcome,
-    SuccessorResult,
-    _clockwise_min,
-    _Shortlist,
-    lookup_budget,
-)
+from .node import FindNodeProbe, LookupOutcome, _Shortlist, lookup_budget
 
 if TYPE_CHECKING:
     from .node import KademliaNode
@@ -174,108 +171,40 @@ def find_node_async(
 def find_successor_async(
     node: "KademliaNode", target_id: int, max_probes: int | None = None
 ) -> Future:
-    """Async aligned-block successor resolution (see module docstring).
+    """Aligned-block successor resolution on the event clock.
 
-    Resolves to :class:`SuccessorResult`; fails with
-    :class:`KademliaLookupError_` on a truncated census or an exhausted
-    probe budget, exactly where the sync loop raises.
+    The callback driver of :meth:`KademliaNode.certify_successor`: each
+    find-node probe runs alpha-concurrent (:func:`find_node_async`), the
+    learned-owner ping is an async call whose timeout is thrown back
+    into the certification.  Resolves to :class:`SuccessorResult`;
+    fails with :class:`KademliaLookupError_` exactly where the sync
+    driver raises.
     """
-    size = 1 << node.m
-    budget = max_probes if max_probes is not None else 2 * node.m + 8
+    steps = node.certify_successor(target_id, max_probes)
     ep = node._transport
     future = Future()
-    state = {"cur": target_id % size, "probes": 0, "rpcs": 0}
-    excluded: set[int] = set()
 
-    def probe() -> None:
-        if state["probes"] >= budget:
-            future.fail(
-                KademliaLookupError_(
-                    f"successor of {target_id} not certified within "
-                    f"{budget} probes"
-                )
+    def advance(reply=None, error: BaseException | None = None) -> None:
+        try:
+            request = steps.send(reply) if error is None else steps.throw(error)
+        except StopIteration as done:
+            future.resolve(done.value)
+            return
+        except Exception as exc:  # noqa: BLE001 -- drive() re-raises it
+            future.fail(exc)
+            return
+        if isinstance(request, FindNodeProbe):
+            find_node_async(
+                node, request.target_id, excluded=request.excluded
+            ).add_done_callback(lambda probe: advance(probe.result, probe.error))
+        else:
+            ep.call(
+                request.target_id,
+                request.method,
+                *request.args,
+                on_reply=advance,
+                on_timeout=lambda exc: advance(error=exc),
             )
-            return
-        find_node_async(
-            node, state["cur"], excluded=frozenset(excluded)
-        ).add_done_callback(on_probe)
 
-    def on_probe(inner: Future) -> None:
-        if inner.error is not None:
-            future.fail(inner.error)
-            return
-        out: LookupOutcome = inner.result
-        state["probes"] += 1
-        state["rpcs"] += out.rpcs
-        cur = state["cur"]
-        if len(out.ids) < node.k:
-            if not out.complete:
-                future.fail(
-                    KademliaLookupError_(
-                        f"successor of {target_id}: census truncated by "
-                        f"{out.failures} failures"
-                    )
-                )
-                return
-            ring = sorted(out.ids)
-            owner = _clockwise_min(out.ids, target_id)
-            pos = ring.index(owner)
-            future.resolve(
-                SuccessorResult(
-                    node_id=owner,
-                    probes=state["probes"],
-                    rpcs=state["rpcs"],
-                    census=tuple(ring[pos:] + ring[:pos]),
-                )
-            )
-            return
-        radius = max(xor_distance(cur, i) for i in out.ids)
-        if radius == 0:
-            future.resolve(
-                SuccessorResult(
-                    node_id=cur,
-                    probes=state["probes"],
-                    rpcs=state["rpcs"],
-                    census=(cur,),
-                )
-            )
-            return
-        limit = aligned_limit(cur, radius, node.m)
-        in_reach = sorted(i for i in out.ids if cur <= i < limit)
-        if in_reach:
-            owner = in_reach[0]
-            result = SuccessorResult(
-                node_id=owner,
-                probes=state["probes"],
-                rpcs=state["rpcs"],
-                census=tuple(in_reach),
-            )
-            if owner != node.node_id and owner not in out.queried:
-                state["rpcs"] += 1
-
-                def on_dead_owner(_exc) -> None:
-                    excluded.add(owner)
-                    node.forget(owner)
-                    probe()
-
-                ep.call(
-                    owner,
-                    "ping",
-                    on_reply=lambda _r: future.resolve(
-                        SuccessorResult(
-                            node_id=owner,
-                            probes=state["probes"],
-                            rpcs=state["rpcs"],
-                            census=tuple(in_reach),
-                        )
-                    ),
-                    on_timeout=on_dead_owner,
-                )
-                return
-            future.resolve(result)
-            return
-        state["cur"] = limit % size
-        probe()
-
-    probe()
+    advance()
     return future

@@ -42,11 +42,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from ...sim.async_net import Call
 from ...sim.network import RpcTimeout, RpcTransport
 from ..api import PeerUnreachableError
+from ..idspace import clockwise_successor
 from .idspace import aligned_limit, bucket_index, id_to_point, xor_distance
 
 __all__ = [
+    "FindNodeProbe",
     "KademliaNode",
     "KademliaLookupError_",
     "LookupOutcome",
@@ -93,6 +96,19 @@ class LookupOutcome:
     rpcs: int
     failures: int
     complete: bool
+
+
+@dataclass(frozen=True, slots=True)
+class FindNodeProbe:
+    """One iterative find-node a successor certification asks for.
+
+    Yielded by :meth:`KademliaNode.certify_successor`; its driver runs
+    the lookup toward ``target_id`` with ``excluded`` ids skipped and
+    sends back the :class:`LookupOutcome`.
+    """
+
+    target_id: int
+    excluded: frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,14 +473,49 @@ class KademliaNode:
     ) -> SuccessorResult:
         """The first node id clockwise of ``target_id`` (inclusive, wrapping).
 
-        Implements the aligned-block certification of the module
-        docstring: probe the XOR neighbourhood of the interval base,
-        read the certified numeric stretch off the converged shortlist,
-        and hop to the next aligned boundary while the stretch stays
-        empty.  Raises :class:`KademliaLookupError_` when a probe cannot
-        converge or the probe budget -- ``2 * m``, the worst-case block
-        count of the ring decomposition, plus retry headroom -- runs
-        out (both only plausible mid-churn).
+        The call-and-return driver of :meth:`certify_successor`: each
+        probe is an :meth:`iterative_find_node`, the owner ping a sync
+        RPC.  Raises :class:`KademliaLookupError_` where the
+        certification does.
+        """
+        steps = self.certify_successor(target_id, max_probes)
+        try:
+            request = next(steps)
+            while True:
+                if isinstance(request, FindNodeProbe):
+                    outcome = self.iterative_find_node(
+                        request.target_id, excluded=request.excluded
+                    )
+                    request = steps.send(outcome)
+                    continue
+                try:
+                    reply = self._transport.rpc(
+                        request.target_id, request.method, *request.args
+                    )
+                except RpcTimeout as exc:
+                    request = steps.throw(exc)
+                else:
+                    request = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+
+    def certify_successor(self, target_id: int, max_probes: int | None = None):
+        """Aligned-block successor certification, free of any transport.
+
+        Implements the certification of the module docstring: probe the
+        XOR neighbourhood of the interval base, read the certified
+        numeric stretch off the converged shortlist, and hop to the next
+        aligned boundary while the stretch stays empty.  A generator:
+        it yields a :class:`FindNodeProbe` and is sent back the probe's
+        :class:`LookupOutcome`, or yields ``Call(owner, "ping")`` and is
+        sent the reply (or has :class:`~repro.sim.network.RpcTimeout`
+        thrown in).  It returns the :class:`SuccessorResult`, and raises
+        :class:`KademliaLookupError_` when a probe cannot converge or
+        the probe budget -- ``2 * m``, the worst-case block count of the
+        ring decomposition, plus retry headroom -- runs out (both only
+        plausible mid-churn).  :meth:`find_successor` drives it inline;
+        :func:`~repro.dht.kademlia.async_lookup.find_successor_async`
+        drives it on the event clock with alpha-concurrent probes.
         """
         size = 1 << self.m
         budget = max_probes if max_probes is not None else 2 * self.m + 8
@@ -473,7 +524,7 @@ class KademliaNode:
         rpcs = 0
         excluded: set[int] = set()
         while probes < budget:
-            out = self.iterative_find_node(cur, excluded=frozenset(excluded))
+            out = yield FindNodeProbe(cur, frozenset(excluded))
             probes += 1
             rpcs += out.rpcs
             if len(out.ids) < self.k:
@@ -487,7 +538,7 @@ class KademliaNode:
                 # small-pool termination rule); answer from it directly,
                 # with the full wrap-around ring as the certified run.
                 ring = sorted(out.ids)
-                owner = _clockwise_min(out.ids, target_id)
+                owner = clockwise_successor(ring, target_id)
                 pos = ring.index(owner)
                 return SuccessorResult(
                     node_id=owner,
@@ -513,7 +564,7 @@ class KademliaNode:
                 if owner != self.node_id and owner not in out.queried:
                     rpcs += 1
                     try:
-                        self._transport.rpc(owner, "ping")
+                        yield Call(owner, "ping")
                     except RpcTimeout:
                         excluded.add(owner)
                         self.forget(owner)
@@ -602,8 +653,3 @@ class KademliaNode:
                 self.forget(contact)
         self.probe_stale()
 
-
-def _clockwise_min(ids, target_id: int) -> int:
-    """The clockwise-first member of ``ids`` at or after ``target_id``."""
-    at_or_after = [i for i in ids if i >= target_id]
-    return min(at_or_after) if at_or_after else min(ids)

@@ -17,7 +17,7 @@ ring instead of piling them onto one global node.
 
 from __future__ import annotations
 
-import bisect
+from .idspace import clockwise_successor
 
 __all__ = ["EntryVantageMixin"]
 
@@ -59,8 +59,7 @@ class EntryVantageMixin:
             # A permanent condition, not a transient routing failure:
             # per the dht.api contract this must NOT be retryable.
             raise ValueError("no live peers: the network is empty")
-        i = bisect.bisect_left(ids, node_id)
-        return ids[i % len(ids)]
+        return clockwise_successor(ids, node_id)
 
     def _entry_node(self):
         """The live vantage node object, failing over if it departed.

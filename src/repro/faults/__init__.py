@@ -24,7 +24,7 @@ kill fraction x retry policy into ``BENCH_faults.json``.
 """
 
 from .plan import INJECTORS, FaultPlan, GreyFailure, LossBurst, MassKill, Partition
-from .retry import RetryPolicy, call_with_retry, call_with_retry_async
+from .retry import RetryPolicy
 from .state import PARTITION_MODES, FaultState, GreyProfile
 
 __all__ = [
@@ -38,6 +38,4 @@ __all__ = [
     "PARTITION_MODES",
     "Partition",
     "RetryPolicy",
-    "call_with_retry",
-    "call_with_retry_async",
 ]

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from repro.faults.retry import RetryPolicy, call_with_retry
-from repro.sim.network import RpcTimeout, RpcTransport
+from repro.faults.retry import RetryPolicy
 
 
 class TestPolicyValidation:
@@ -88,153 +87,3 @@ class TestDiscipline:
         with pytest.raises(ValueError, match="seeded rng"):
             RetryPolicy(attempts=2, base_delay=1.0, jitter=0.5).delay(1, None)
 
-
-class Flaky:
-    """RPC target that fails by staying unregistered until re-registered."""
-
-    def ping(self):
-        return "pong"
-
-
-class TestCallWithRetry:
-    def test_success_needs_no_retry(self):
-        transport = RpcTransport()
-        transport.register(1, Flaky())
-        policy = RetryPolicy(attempts=3, base_delay=1.0)
-        assert call_with_retry(transport, policy, 1, "ping") == "pong"
-        assert transport.metrics.counter("rpc.retries").value == 0
-
-    def test_all_attempts_charged_then_raises(self):
-        transport = RpcTransport(timeout=8.0)
-        policy = RetryPolicy(attempts=3, base_delay=0.5, factor=2.0)
-        with pytest.raises(RpcTimeout):
-            call_with_retry(transport, policy, 99, "ping")
-        # Three failed attempts: each charges a lost message + timeout;
-        # two backoffs (0.5 + 1.0) are charged between them.
-        assert transport.metrics.counter("rpc.timeouts").value == 3
-        assert transport.metrics.counter("rpc.retries").value == 2
-        assert transport.messages_sent == 3
-        assert transport.elapsed == pytest.approx(3 * 8.0 + 0.5 + 1.0)
-
-    def test_charges_are_replayable(self):
-        def run():
-            transport = RpcTransport()
-            policy = RetryPolicy(attempts=4, base_delay=0.5, jitter=0.3)
-            with pytest.raises(RpcTimeout):
-                call_with_retry(
-                    transport, policy, 7, "ping", rng=random.Random(42)
-                )
-            return transport.elapsed, transport.messages_sent
-
-        assert run() == run()
-
-
-class TestDeadlineBudget:
-    def test_deadline_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline=-1.0)
-        assert RetryPolicy().deadline is None  # unbounded by default
-
-    def test_within_deadline_semantics(self):
-        unbounded = RetryPolicy()
-        assert unbounded.within_deadline(1e9)
-        bounded = RetryPolicy(deadline=10.0)
-        assert bounded.within_deadline(9.999)
-        assert not bounded.within_deadline(10.0)
-
-    def test_deadline_round_trips_through_record(self):
-        policy = RetryPolicy(attempts=2, deadline=12.5)
-        assert RetryPolicy(**policy.to_record()) == policy
-
-    def test_sync_retry_stops_when_budget_spent(self):
-        # timeout=8, flat 1.0 backoff, deadline=18: the first failure
-        # spends 8 and retries (8+1 < 18); the second has spent 17 and
-        # the next backoff would reach the budget (17+1 >= 18), so the
-        # remaining three attempts are abandoned.
-        transport = RpcTransport(timeout=8.0)
-        policy = RetryPolicy(
-            attempts=5, base_delay=1.0, factor=1.0, deadline=18.0
-        )
-        with pytest.raises(RpcTimeout):
-            call_with_retry(transport, policy, 99, "ping")
-        assert transport.metrics.counter("rpc.timeouts").value == 2
-        assert transport.metrics.counter("rpc.retries").value == 1
-        assert transport.messages_sent == 2
-        assert transport.elapsed == pytest.approx(2 * 8.0 + 1.0)
-
-    def test_sync_deadline_never_fires_when_budget_is_ample(self):
-        transport = RpcTransport(timeout=8.0)
-        generous = RetryPolicy(attempts=3, base_delay=0.5, deadline=1e6)
-        with pytest.raises(RpcTimeout):
-            call_with_retry(transport, generous, 99, "ping")
-        assert transport.metrics.counter("rpc.timeouts").value == 3  # full budget
-
-
-class TestCallWithRetryAsync:
-    def _fixture(self, timeout=4.0):
-        from repro.sim.async_net import AsyncRpcTransport
-        from repro.sim.kernel import Simulator
-        from repro.sim.network import ConstantLatency
-
-        sim = Simulator()
-        transport = AsyncRpcTransport(
-            sim, latency=ConstantLatency(1.0), rng=random.Random(0), timeout=timeout
-        )
-        transport.register(1, Flaky())
-        return sim, transport
-
-    def test_backoff_elapses_as_simulator_events(self):
-        from repro.faults.retry import call_with_retry_async
-
-        sim, transport = self._fixture(timeout=4.0)
-        failures = []
-        policy = RetryPolicy(attempts=3, base_delay=2.0, factor=1.0)
-        call_with_retry_async(
-            transport.endpoint(1), policy, 99, "ping", on_timeout=failures.append
-        )
-        sim.run()
-        # attempts at 0, 6, 12; each times out 4 later; the final one
-        # surfaces at 16 -- the backoffs really sat on the clock.
-        assert len(failures) == 1
-        assert sim.now == 16.0
-        assert transport.metrics.counter("rpc.timeouts").value == 3
-        assert transport.metrics.counter("rpc.retries").value == 2
-        assert transport.messages_sent == 3
-        assert transport.elapsed == pytest.approx(3 * 4.0 + 2 * 2.0)
-
-    def test_deadline_cuts_the_attempt_budget(self):
-        from repro.faults.retry import call_with_retry_async
-
-        sim, transport = self._fixture(timeout=4.0)
-        failures = []
-        policy = RetryPolicy(
-            attempts=5, base_delay=2.0, factor=1.0, deadline=9.0
-        )
-        call_with_retry_async(
-            transport.endpoint(1), policy, 99, "ping", on_timeout=failures.append
-        )
-        sim.run()
-        # first failure: spent 4, backoff to 6; second failure at 10 has
-        # spent 10 >= 9, so three budgeted attempts are surrendered.
-        assert len(failures) == 1
-        assert sim.now == 10.0
-        assert transport.metrics.counter("rpc.timeouts").value == 2
-        assert transport.metrics.counter("rpc.retries").value == 1
-
-    def test_target_coming_back_during_backoff_succeeds(self):
-        from repro.faults.retry import call_with_retry_async
-
-        sim, transport = self._fixture(timeout=4.0)
-        replies = []
-        policy = RetryPolicy(attempts=3, base_delay=2.0, factor=1.0)
-        call_with_retry_async(
-            transport.endpoint(1), policy, 5, "ping", on_reply=replies.append
-        )
-        # node 5 boots at t=5, mid-backoff; the t=6 retry reaches it.
-        sim.schedule(5.0, lambda: transport.register(5, Flaky()))
-        sim.run()
-        assert replies == ["pong"]
-        assert sim.now == 8.0  # retry at 6 + two one-second legs
-        assert transport.metrics.counter("rpc.retries").value == 1
